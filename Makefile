@@ -16,7 +16,13 @@ test:
 # the race matrix over the schedule-sensitive packages, a smoke run of
 # every fuzz target, the multi-process cluster smoke, and a run-vs-self
 # pass of the perf gate. This is what CI should run.
-check: vet build test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+check: vet build perfbench-build test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+
+# perfbench is a nested module, so `go build ./...` at the root skips
+# it. Vet and compile it (without running the benchmark) so a change to
+# an internal API it calls cannot break the benchmark unnoticed.
+perfbench-build:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null .
 
 # The race detector only sees interleavings that happen, so the
 # schedule-sensitive packages run under three thread budgets: 1 (pure
@@ -102,4 +108,4 @@ perfgate-smoke:
 		rm -f $$tmp || exit 1; \
 	done
 
-.PHONY: all build vet test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke
+.PHONY: all build vet perfbench-build test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke

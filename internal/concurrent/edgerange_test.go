@@ -5,135 +5,38 @@ import (
 	"testing"
 )
 
-// blockTestOffsets builds a skewed CSR offsets array designed to stress
-// the block tiling: a hub whose adjacency spans several chunks AND a
-// block boundary, zero-degree vertices (including a whole arcless
-// block), and a tail of small rows.
-func blockTestOffsets() []int64 {
+// skewedOffsets builds a skewed CSR offsets array: hubs whose adjacency
+// spans several chunks, runs of zero-degree vertices, and a tail of
+// small rows.
+func skewedOffsets() []int64 {
 	offsets := []int64{0}
 	add := func(deg int64) { offsets = append(offsets, offsets[len(offsets)-1]+deg) }
-	// Block 0 (vertices 0..31 at blockVerts=32): small rows + zeros.
 	for v := 0; v < 16; v++ {
 		add(int64(v % 5))
 	}
-	// Hub straddling into block 1 territory by arc count.
 	add(777)
-	for v := 17; v < 32; v++ {
+	for v := 17; v < 64; v++ {
 		add(0)
 	}
-	// Block 1: entirely zero-degree.
-	for v := 32; v < 64; v++ {
-		add(0)
-	}
-	// Block 2: another hub plus a tail.
 	add(300)
 	for v := 65; v < 96; v++ {
 		add(3)
 	}
-	// Block 3 (partial): a few rows.
 	for v := 96; v < 100; v++ {
 		add(7)
 	}
 	return offsets
 }
 
-// TestForEdgeBlocksCoversAllArcsExactlyOnce checks the core contract:
-// across every (p, grain, blockVerts) combination each arc is handed to
-// exactly one body invocation, each invocation's vertex range is
-// consistent with its arc range, and no chunk crosses a block boundary.
-func TestForEdgeBlocksCoversAllArcsExactlyOnce(t *testing.T) {
-	offsets := blockTestOffsets()
-	n := len(offsets) - 1
-	m := offsets[n]
-	for _, p := range []int{1, 2, 8} {
-		for _, grain := range []int{1, 7, 64, 100000} {
-			for _, bv := range []int{1, 32, 64, 100000} {
-				seen := make([]atomic.Int32, m)
-				ForEdgeBlocks(offsets, p, grain, bv, func(vlo, vhi int, alo, ahi int64, _ int) {
-					if alo >= ahi {
-						t.Errorf("p=%d grain=%d bv=%d: empty arc chunk [%d,%d)", p, grain, bv, alo, ahi)
-					}
-					if int64(ahi-alo) > int64(grain) {
-						t.Errorf("p=%d grain=%d bv=%d: chunk [%d,%d) exceeds grain", p, grain, bv, alo, ahi)
-					}
-					// The chunk must live inside one block's vertex range.
-					b := vlo / bv
-					if vhi > (b+1)*bv && vhi <= n {
-						t.Errorf("p=%d grain=%d bv=%d: chunk vertices [%d,%d) cross block %d boundary",
-							p, grain, bv, vlo, vhi, b)
-					}
-					for u := vlo; u < vhi; u++ {
-						lo, hi := offsets[u], offsets[u+1]
-						if lo < alo {
-							lo = alo
-						}
-						if hi > ahi {
-							hi = ahi
-						}
-						for k := lo; k < hi; k++ {
-							seen[k].Add(1)
-						}
-					}
-				})
-				for k := range seen {
-					if got := seen[k].Load(); got != 1 {
-						t.Fatalf("p=%d grain=%d bv=%d: arc %d visited %d times", p, grain, bv, k, got)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestForEdgeBlocksEmptyDomains pins the degenerate cases: nil/len-1
-// offsets and all-zero-degree graphs must invoke the body zero times.
-func TestForEdgeBlocksEmptyDomains(t *testing.T) {
-	for _, offsets := range [][]int64{nil, {0}, {0, 0, 0, 0}} {
-		calls := 0
-		ForEdgeBlocks(offsets, 4, 8, 2, func(_, _ int, _, _ int64, _ int) { calls++ })
-		if calls != 0 {
-			t.Errorf("offsets=%v: body called %d times, want 0", offsets, calls)
-		}
-	}
-}
-
-// TestForEdgeBlocksDefaults checks that grain<=0 and blockVerts<=0 fall
-// back to the package defaults and still cover every arc.
-func TestForEdgeBlocksDefaults(t *testing.T) {
-	offsets := blockTestOffsets()
-	m := offsets[len(offsets)-1]
-	seen := make([]atomic.Int32, m)
-	ForEdgeBlocks(offsets, 0, 0, 0, func(vlo, vhi int, alo, ahi int64, _ int) {
-		for u := vlo; u < vhi; u++ {
-			lo, hi := offsets[u], offsets[u+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			for k := lo; k < hi; k++ {
-				seen[k].Add(1)
-			}
-		}
-	})
-	for k := range seen {
-		if got := seen[k].Load(); got != 1 {
-			t.Fatalf("arc %d visited %d times", k, got)
-		}
-	}
-}
-
-// TestDeterministicForEdgeBlocksReplays pins the replay contract the
-// blocked final pass depends on: under a pinned DetConfig the sequence
-// of (vlo, vhi, alo, ahi) chunks is identical across runs — in serial
-// mode as one totally ordered stream, in parallel mode as a coverage-
-// complete permuted dispatch (mirroring
-// TestDeterministicForEdgeRangeCoversArcs for the blocked scheduler).
-func TestDeterministicForEdgeBlocksReplays(t *testing.T) {
+// TestDeterministicForEdgeRangeReplays pins the replay contract the
+// final pass depends on: under a pinned DetConfig the sequence of
+// (vlo, vhi, alo, ahi) chunks is identical across runs — in serial mode
+// as one totally ordered stream, in parallel mode as a coverage-
+// complete permuted dispatch.
+func TestDeterministicForEdgeRangeReplays(t *testing.T) {
 	pl := NewPool(4)
 	defer pl.Close()
-	offsets := blockTestOffsets()
+	offsets := skewedOffsets()
 	m := offsets[len(offsets)-1]
 
 	type chunk struct {
@@ -145,7 +48,7 @@ func TestDeterministicForEdgeBlocksReplays(t *testing.T) {
 		defer pl.SetDeterministic(nil)
 		var out []chunk
 		seen := make([]atomic.Int32, m)
-		pl.ForEdgeBlocks(offsets, 4, 64, 32, func(vlo, vhi int, alo, ahi int64, _ int) {
+		pl.ForEdgeRange(offsets, 4, 64, func(vlo, vhi int, alo, ahi int64, _ int) {
 			if serial {
 				out = append(out, chunk{vlo, vhi, alo, ahi})
 			}
@@ -198,59 +101,5 @@ func TestDeterministicForEdgeBlocksReplays(t *testing.T) {
 	}
 	if same {
 		t.Error("seeds 9 and 10 produced identical serial chunk orders; permutation is not seed-driven")
-	}
-}
-
-// TestForEdgeBlocksMatchesForEdgeRangeArcSet checks equivalence with the
-// unblocked scheduler at the arc level: both visit the identical arc
-// multiset (exactly once each), so any body that only depends on the
-// clipped per-vertex arc set computes the same result under either.
-func TestForEdgeBlocksMatchesForEdgeRangeArcSet(t *testing.T) {
-	offsets := blockTestOffsets()
-	m := offsets[len(offsets)-1]
-	collect := func(run func(body func(vlo, vhi int, alo, ahi int64, worker int))) []int32 {
-		seen := make([]atomic.Int32, m)
-		run(func(vlo, vhi int, alo, ahi int64, _ int) {
-			for u := vlo; u < vhi; u++ {
-				lo, hi := offsets[u], offsets[u+1]
-				if lo < alo {
-					lo = alo
-				}
-				if hi > ahi {
-					hi = ahi
-				}
-				for k := lo; k < hi; k++ {
-					seen[k].Add(1)
-				}
-			}
-		})
-		out := make([]int32, m)
-		for k := range seen {
-			out[k] = seen[k].Load()
-		}
-		return out
-	}
-	ranged := collect(func(body func(int, int, int64, int64, int)) {
-		ForEdgeRange(offsets, 4, 64, body)
-	})
-	blocked := collect(func(body func(int, int, int64, int64, int)) {
-		ForEdgeBlocks(offsets, 4, 64, 32, body)
-	})
-	for k := range ranged {
-		if ranged[k] != blocked[k] {
-			t.Fatalf("arc %d: ForEdgeRange count %d != ForEdgeBlocks count %d", k, ranged[k], blocked[k])
-		}
-	}
-}
-
-// TestBlockOwner pins the binary search against a start array with
-// arcless blocks (repeated prefix values own no chunks).
-func TestBlockOwner(t *testing.T) {
-	start := []int{0, 3, 3, 3, 7, 8}
-	want := map[int]int{0: 0, 1: 0, 2: 0, 3: 3, 4: 3, 5: 3, 6: 3, 7: 4}
-	for c, b := range want {
-		if got := blockOwner(start, c); got != b {
-			t.Errorf("blockOwner(%v, %d) = %d, want %d", start, c, got, b)
-		}
 	}
 }

@@ -45,48 +45,20 @@ type Options struct {
 	// always the full one, so results are identical.
 	HalvingCompress bool
 
-	// GatherLinks runs the link phases through the gather-batched
-	// kernels (hotpath.go): π entries for a batch of upcoming arcs are
+	// GatherLinks runs the neighbor rounds through the gather-batched
+	// kernel (hotpath.go): π entries for a batch of upcoming arcs are
 	// loaded together before any Link resolves, so the cache misses
 	// overlap instead of serializing. Pays on uniform-random topologies
 	// where nearly every π[target] read misses; costs a few percent on
-	// hub-heavy graphs whose hot π entries are cache-resident anyway —
-	// the layout ablation measures the trade per graph. Off by default.
+	// hub-heavy graphs whose hot π entries are cache-resident anyway
+	// (DESIGN.md §12 has the A/B). The final pass always runs the plain
+	// loop. Off by default.
 	GatherLinks bool
-
-	// ShortcutCompress replaces the inter-round compress with FastSV-
-	// style great-grandparent shortcutting (see CompressShortcut): one
-	// more level removed per pass than halving, still one store per
-	// vertex. Mutually exclusive with HalvingCompress, which wins if
-	// both are set. The final compress is always the full one, so
-	// results are identical.
-	ShortcutCompress bool
-
-	// RelabelFinal replaces the skip-aware final pass with its
-	// cache-layout form: after sampling, a packing permutation moves the
-	// not-yet-sampled vertices to the front of a fresh π, the remaining
-	// active arcs are copied into a compact CSR, and the final pass runs
-	// filter-free over that dense view before the exact min-id labels
-	// are written back (see relabel.go). Labels are identical to the
-	// default path. Ignored when SkipLargest is false — without a
-	// sampled component there is nothing to pack away.
-	RelabelFinal bool
-
-	// BlockedFinal tiles the final pass's edge traversal by vertex
-	// blocks (concurrent.ForEdgeBlocks) so each claimed chunk's
-	// source-side π working set is bounded by BlockVertices entries.
-	// Applies to the compact pass as well when combined with
-	// RelabelFinal.
-	BlockedFinal bool
-
-	// BlockVertices is the vertex-block width for BlockedFinal; 0 means
-	// concurrent.DefaultBlockVertices.
-	BlockVertices int
 
 	// Observer, when non-nil, receives the run's phase tree (spans per
 	// neighbor round, compress pass, sample, and final pass) with
 	// per-phase work counters. nil keeps the uninstrumented hot path:
-	// Run dispatches on the nil check once, not per edge.
+	// Run dispatches on the nil check once per phase, not per edge.
 	Observer obs.Observer
 }
 
@@ -119,26 +91,99 @@ func (o Options) sampleSize() int {
 // connected, with each label being the minimum vertex id of its
 // component (a consequence of Invariant 1).
 func Run(g *graph.CSR, opt Options) Parent {
+	p := NewParent(g.NumVertices())
+	if len(p) > 0 {
+		run(g, opt, p, opt.Observer, nil)
+	}
+	return p
+}
+
+// run is the Afforest phase driver behind Run, RunInstrumented,
+// RunAudited and EdgesProcessed. It writes into the caller's p (n > 0).
+//
+// With ob == nil every phase runs its plain loop body: Link, no
+// counters, no spans. Otherwise every phase runs its counted body
+// (LinkCounted) and reports a span with its accounting. The choice is
+// made once per phase, on the nil check, never per edge. afterLink,
+// when non-nil, runs after each link phase closes and before its
+// compress; RunInstrumented measures tree depth there.
+func run(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLink func()) {
 	n := g.NumVertices()
-	p := NewParent(n)
-	if n == 0 {
-		return p
-	}
-	if opt.Observer != nil {
-		runObservedOn(g, opt, p, opt.Observer, nil)
-		return p
-	}
-	rounds := opt.rounds()
 	offsets, targets := g.Adjacency(0, n)
+	rounds := opt.rounds()
+	counted := ob != nil
+	root := beginPhase(ob, obs.PhaseRun)
 
 	// Phase 1: neighbor-sampling rounds (Fig 5 lines 2–9). Round r
-	// links each vertex to its r-th neighbor — read straight off the
-	// raw CSR slices as targets[offsets[u]+r] — followed by a compress
-	// pass so the next round's links walk shallow trees. GatherLinks
-	// swaps the plain loop for the batch-gathered kernel (hotpath.go).
+	// links each vertex to its r-th neighbor, followed by a compress
+	// pass so the next round's links walk shallow trees.
 	for r := 0; r < rounds; r++ {
-		rr := int64(r)
-		if opt.GatherLinks {
+		span := beginPhase(ob, obs.PhaseNeighborRound)
+		endPhase(ob, span, neighborRound(p, offsets, targets, int64(r), opt, counted))
+		if afterLink != nil {
+			afterLink()
+		}
+		span = beginPhase(ob, obs.PhaseCompress)
+		if opt.HalvingCompress {
+			CompressHalveAll(p, opt.Parallelism)
+		} else {
+			CompressAll(p, opt.Parallelism)
+		}
+		endPhase(ob, span, obs.PhaseStats{})
+	}
+
+	// Phase 2: probabilistic search for the largest intermediate
+	// component (Fig 5 line 10).
+	var c graph.V
+	skip := opt.SkipLargest
+	if skip {
+		span := beginPhase(ob, obs.PhaseSample)
+		var ratio float64
+		c, ratio = SampleFrequentElementRatio(p, opt.sampleSize(), opt.Seed)
+		endPhase(ob, span, obs.PhaseStats{SkipRatio: ratio})
+	}
+
+	// Phase 3: process the remaining edges — neighbors beyond the
+	// sampled rounds — skipping vertices already inside c (Fig 5 lines
+	// 11–15; Theorem 3 guarantees the cross edges are seen from their
+	// other endpoint).
+	span := beginPhase(ob, obs.PhaseFinal)
+	endPhase(ob, span, linkRemaining(p, offsets, targets, int64(rounds), skip, c, opt, counted))
+	if afterLink != nil {
+		afterLink()
+	}
+
+	// Phase 4: final compress (Fig 5 lines 16–18) flattens every tree
+	// to depth one; π is now the component labeling.
+	span = beginPhase(ob, obs.PhaseFinalCompress)
+	CompressAll(p, opt.Parallelism)
+	endPhase(ob, span, obs.PhaseStats{})
+	endPhase(ob, root, obs.PhaseStats{})
+}
+
+func beginPhase(ob obs.Observer, name string) obs.SpanID {
+	if ob == nil {
+		return 0
+	}
+	return ob.BeginPhase(name)
+}
+
+func endPhase(ob obs.Observer, span obs.SpanID, st obs.PhaseStats) {
+	if ob != nil {
+		ob.EndPhase(span, st)
+	}
+}
+
+// neighborRound links every vertex to its r-th neighbor, read straight
+// off the raw CSR slices as targets[offsets[u]+r]. GatherLinks swaps
+// the loop for the batch-gathered kernel (hotpath.go). The counted body
+// accumulates into a chunk-local LinkStats and folds it into its
+// worker's slot once per chunk.
+func neighborRound(p Parent, offsets []int64, targets []graph.V, rr int64, opt Options, counted bool) obs.PhaseStats {
+	n := len(offsets) - 1
+	gather := opt.GatherLinks
+	if !counted {
+		if gather {
 			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, _ int) {
 				linkRoundGathered(p, offsets, targets, rr, lo, hi)
 			})
@@ -151,41 +196,36 @@ func Run(g *graph.CSR, opt Options) Parent {
 				}
 			})
 		}
-		compressVariant(p, opt)
+		return obs.PhaseStats{}
 	}
-
-	// Phase 2: probabilistic search for the largest intermediate
-	// component (Fig 5 line 10).
-	var c graph.V
-	skip := opt.SkipLargest
-	if skip {
-		c = SampleFrequentElement(p, opt.sampleSize(), opt.Seed)
-	}
-
-	// Phases 3–4, relabeled form: pack the not-yet-sampled vertices to
-	// the front of a fresh π, run the final pass filter-free over a
-	// compact CSR, write exact labels back (relabel.go).
-	if skip && opt.RelabelFinal {
-		runRelabeledFinal(g, opt, p, c)
-		return p
-	}
-
-	// Phase 3: process the remaining edges — neighbors beyond the
-	// sampled rounds — skipping vertices already inside c (Fig 5 lines
-	// 11–15; Theorem 3 guarantees the cross edges are seen from their
-	// other endpoint). Chunks are balanced by arc count, so hub
-	// vertices split across chunks; each vertex's arc range is clipped
-	// to the chunk and offset past the already-sampled rounds.
-	// GatherLinks swaps the loop for the batch-gathered chunk body,
-	// which also hoists the skip filter into a batched π load.
-	skipArcs := int64(rounds)
-	var finalBody func(vlo, vhi int, alo, ahi int64, w int)
-	if opt.GatherLinks {
-		finalBody = func(vlo, vhi int, alo, ahi int64, _ int) {
-			finalRangeGathered(p, offsets, targets, skipArcs, c, skip, vlo, vhi, alo, ahi)
+	per := make([]LinkStats, workerCount(opt.Parallelism))
+	concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
+		var st LinkStats
+		if gather {
+			linkRoundGatheredCounted(p, offsets, targets, rr, lo, hi, &st)
+		} else {
+			for u := lo; u < hi; u++ {
+				if k := offsets[u] + rr; k < offsets[u+1] {
+					st.Add(LinkCounted(p, graph.V(u), targets[k]))
+				}
+			}
 		}
-	} else {
-		finalBody = func(vlo, vhi int, alo, ahi int64, _ int) {
+		per[w].Merge(&st)
+	})
+	return sumStats(per)
+}
+
+// linkRemaining links every arc past the first skipArcs of its source's
+// adjacency, skipping sources already inside c when skip is set: the
+// final pass of Fig 5, and with skipArcs = 0 and no skip, LinkAll.
+// Chunks are balanced by arc count, so hub vertices split across
+// chunks; each vertex's arc range is clipped to the chunk and offset
+// past the already-sampled rounds. The skip test runs once per vertex
+// per chunk; the counted body records each test in Checked and each
+// skipped source in Skipped.
+func linkRemaining(p Parent, offsets []int64, targets []graph.V, skipArcs int64, skip bool, c graph.V, opt Options, counted bool) obs.PhaseStats {
+	if !counted {
+		concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, _ int) {
 			for u := vlo; u < vhi; u++ {
 				lo, hi := offsets[u]+skipArcs, offsets[u+1]
 				if lo < alo {
@@ -205,18 +245,38 @@ func Run(g *graph.CSR, opt Options) Parent {
 					Link(p, uu, v)
 				}
 			}
+		})
+		return obs.PhaseStats{}
+	}
+	per := make([]LinkStats, workerCount(opt.Parallelism))
+	concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
+		var st LinkStats
+		for u := vlo; u < vhi; u++ {
+			lo, hi := offsets[u]+skipArcs, offsets[u+1]
+			if lo < alo {
+				lo = alo
+			}
+			if hi > ahi {
+				hi = ahi
+			}
+			if lo >= hi {
+				continue
+			}
+			uu := graph.V(u)
+			if skip {
+				st.Checked++
+				if p.Get(uu) == c {
+					st.Skipped++
+					continue
+				}
+			}
+			for _, v := range targets[lo:hi] {
+				st.Add(LinkCounted(p, uu, v))
+			}
 		}
-	}
-	if opt.BlockedFinal {
-		concurrent.ForEdgeBlocks(offsets, opt.Parallelism, opt.EdgeGrain, opt.BlockVertices, finalBody)
-	} else {
-		concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, finalBody)
-	}
-
-	// Phase 4: final compress (Fig 5 lines 16–18) flattens every tree
-	// to depth one; π is now the component labeling.
-	CompressAll(p, opt.Parallelism)
-	return p
+		per[w].Merge(&st)
+	})
+	return sumStats(per)
 }
 
 // SampleFrequentElement estimates the most frequent value in π by
@@ -286,13 +346,6 @@ func SampleFrequentElementRatio(p Parent, samples int, seed uint64) (graph.V, fl
 // to balance skewed degree distributions.
 func parallelFor(n, parallelism int, body func(i int)) {
 	concurrent.ForGrain(n, parallelism, 512, body)
-}
-
-// parallelForWorker is parallelFor with the worker id exposed, used by
-// the instrumented variants to accumulate per-worker statistics without
-// synchronization.
-func parallelForWorker(n, parallelism int, body func(i, worker int)) {
-	concurrent.ForWorker(n, parallelism, 512, body)
 }
 
 // workerCount returns the number of distinct worker ids parallelFor may

@@ -210,7 +210,7 @@ func TestLinkCountedMatchesLink(t *testing.T) {
 	var st LinkStats
 	for _, e := range edges {
 		Link(pa, e.U, e.V)
-		LinkCounted(pb, e.U, e.V, &st)
+		st.Add(LinkCounted(pb, e.U, e.V))
 	}
 	for v := range pa {
 		if pa[v] != pb[v] {

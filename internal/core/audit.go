@@ -5,9 +5,9 @@ import (
 	"afforest/internal/obs"
 )
 
-// RunAudited executes the full Afforest algorithm exactly like Run
-// (observed path: LinkCounted in place of Link, identical loops and
-// grains) while invoking audit(p, phase) every time a phase span
+// RunAudited executes the full Afforest algorithm through Run's phase
+// driver (counted loop bodies: LinkCounted in place of Link, identical
+// loops and grains) while invoking audit(p, phase) every time a phase span
 // closes, with the phase's obs name ("neighbor_round", "compress",
 // "sample_frequent", "final_skip_pass", "final_compress",
 // "afforest_run"). The audit runs on the submitting goroutine between
@@ -29,14 +29,14 @@ func RunAudited(g *graph.CSR, opt Options, audit func(p Parent, phase string)) P
 		return p
 	}
 	ao := &auditObserver{p: p, audit: audit}
-	runObservedOn(g, opt, p, obs.Multi(opt.Observer, ao), nil)
+	run(g, opt, p, obs.Multi(opt.Observer, ao), nil)
 	return p
 }
 
 // auditObserver adapts the Observer span protocol into phase-boundary
 // callbacks: it allocates its own span ids and remembers each open
 // span's name, so EndPhase can hand the name to the audit function.
-// Spans nest strictly (runObservedOn opens/closes them LIFO under the
+// Spans nest strictly (the phase driver opens/closes them LIFO under the
 // root), and all calls come from the submitting goroutine, so a plain
 // map without locking is enough.
 type auditObserver struct {

@@ -68,7 +68,7 @@ func TestLinkCountedHintMatchesLinkHint(t *testing.T) {
 	var st LinkStats
 	for _, e := range edges {
 		LinkHint(pa, e.U, e.V, pa.Get(e.V))
-		LinkCountedHint(pb, e.U, e.V, pb.Get(e.V), &st)
+		st.Add(LinkCountedHint(pb, e.U, e.V, pb.Get(e.V)))
 	}
 	for v := range pa {
 		if pa[v] != pb[v] {
@@ -102,46 +102,6 @@ func TestCompressFromFlattens(t *testing.T) {
 	}
 }
 
-// TestCompressShortcutInvariants checks the great-grandparent hop:
-// Invariant 1 is preserved, the partition is unchanged, and repeated
-// passes converge to a fully flattened forest strictly faster than
-// halving on a deep chain (two levels removed per pass vs one).
-func TestCompressShortcutInvariants(t *testing.T) {
-	g := gen.Kronecker(10, 8, gen.Graph500, 17)
-	p := NewParent(g.NumVertices())
-	for _, e := range g.Edges() {
-		Link(p, e.U, e.V)
-	}
-	before := append(Parent(nil), p...)
-	CompressShortcutAll(p, 4)
-	if bad := p.Validate(); bad >= 0 {
-		t.Fatalf("invariant violated at %d after shortcut pass", bad)
-	}
-	for v := range p {
-		if before.Find(graph.V(v)) != p.Find(graph.V(v)) {
-			t.Fatalf("shortcut changed the partition at vertex %d", v)
-		}
-	}
-
-	// Deep chain: depth after k shortcut passes shrinks ~3x per pass.
-	const n = 1 << 10
-	chain := NewParent(n)
-	for v := 1; v < n; v++ {
-		chain.set(graph.V(v), graph.V(v-1))
-	}
-	passes := 0
-	for chain.MaxDepth() > 1 {
-		CompressShortcutAll(chain, 1)
-		passes++
-		if passes > n {
-			t.Fatal("shortcut compression failed to converge")
-		}
-	}
-	if passes > 12 {
-		t.Fatalf("chain of %d needed %d shortcut passes — expected O(log_3 depth) ~ 7", n, passes)
-	}
-}
-
 // TestCompressAllFullyFlattens pins the gathered compress kernel's
 // contract: after CompressAll every vertex points directly at its root,
 // and the partition matches a reference Find snapshot.
@@ -165,27 +125,19 @@ func TestCompressAllFullyFlattens(t *testing.T) {
 	}
 }
 
-// variantCases are the Options combinations the hot-path campaign
-// added; every one must reproduce the default Run's exact labels
-// (labels are canonical component minima, so full equality is the
-// right check, not partition equivalence).
+// variantCases are the Options variants beside the default; every one
+// must reproduce the default Run's exact labels (labels are canonical
+// component minima, so full equality is the right check, not partition
+// equivalence).
 func variantCases() map[string]func(*Options) {
 	return map[string]func(*Options){
-		"gather":                  func(o *Options) { o.GatherLinks = true },
-		"shortcut":                func(o *Options) { o.ShortcutCompress = true },
-		"relabel":                 func(o *Options) { o.RelabelFinal = true },
-		"blocked":                 func(o *Options) { o.BlockedFinal = true; o.BlockVertices = 64 },
-		"blocked-default-width":   func(o *Options) { o.BlockedFinal = true },
-		"relabel-blocked":         func(o *Options) { o.RelabelFinal = true; o.BlockedFinal = true; o.BlockVertices = 64 },
-		"relabel-gather":          func(o *Options) { o.RelabelFinal = true; o.GatherLinks = true },
-		"shortcut-relabel":        func(o *Options) { o.ShortcutCompress = true; o.RelabelFinal = true },
-		"gather-shortcut-blocked": func(o *Options) { o.GatherLinks = true; o.ShortcutCompress = true; o.BlockedFinal = true; o.BlockVertices = 64 },
-		"relabel-noskip":          func(o *Options) { o.RelabelFinal = true; o.SkipLargest = false }, // RelabelFinal must be a no-op here
+		"gather":  func(o *Options) { o.GatherLinks = true },
+		"halving": func(o *Options) { o.HalvingCompress = true },
+		"noskip":  func(o *Options) { o.SkipLargest = false },
 	}
 }
 
-// TestVariantOptionsMatchDefaultRun sweeps every new option combination
-// over a giant-component graph, a multi-component graph, and a
+// TestVariantOptionsMatchDefaultRun sweeps every variant over a giant-component graph, a multi-component graph, and a
 // power-law graph, at 1 and 4 workers.
 func TestVariantOptionsMatchDefaultRun(t *testing.T) {
 	graphs := map[string]*graph.CSR{
@@ -328,9 +280,6 @@ func BenchmarkCompressVariants(b *testing.B) {
 	})
 	b.Run("halving", func(b *testing.B) {
 		run(b, func(p Parent) { CompressHalveAll(p, 1) })
-	})
-	b.Run("shortcut", func(b *testing.B) {
-		run(b, func(p Parent) { CompressShortcutAll(p, 1) })
 	})
 }
 

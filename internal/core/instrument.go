@@ -1,9 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
-	"afforest/internal/concurrent"
 	"afforest/internal/graph"
 	"afforest/internal/obs"
 )
@@ -32,8 +29,21 @@ func (s *LinkStats) MeanIterations() float64 {
 	return float64(s.Iterations) / float64(s.Calls)
 }
 
-// merge adds o into s.
-func (s *LinkStats) merge(o *LinkStats) {
+// Add folds one LinkCounted result into s.
+func (s *LinkStats) Add(iters, casFails int64, merged bool) {
+	s.Calls++
+	s.Iterations += iters
+	s.CASFails += casFails
+	if merged {
+		s.Merges++
+	}
+	if iters > s.MaxIters {
+		s.MaxIters = iters
+	}
+}
+
+// Merge adds o into s.
+func (s *LinkStats) Merge(o *LinkStats) {
 	s.Calls += o.Calls
 	s.Iterations += o.Iterations
 	s.CASFails += o.CASFails
@@ -43,6 +53,15 @@ func (s *LinkStats) merge(o *LinkStats) {
 	if o.MaxIters > s.MaxIters {
 		s.MaxIters = o.MaxIters
 	}
+}
+
+// sumStats merges per-worker accounting into one phase payload.
+func sumStats(per []LinkStats) obs.PhaseStats {
+	var total LinkStats
+	for w := range per {
+		total.Merge(&per[w])
+	}
+	return total.PhaseStats()
 }
 
 // PhaseStats converts the accounting into the observability payload.
@@ -62,16 +81,18 @@ func (s *LinkStats) PhaseStats() obs.PhaseStats {
 	}
 }
 
-// LinkCounted is Link with iteration accounting into st. The control
-// flow is identical to Link; duplication keeps the uninstrumented hot
-// path free of counters, and the equivalence is pinned by
-// TestLinkCountedMatchesLink.
-func LinkCounted(p Parent, u, v graph.V, st *LinkStats) {
-	st.Calls++
+// LinkCounted is Link returning its accounting: the local loop
+// iterations of the call, its failed hook CASes, and whether its CAS
+// united two trees. The control flow is identical to Link; duplication
+// keeps the uninstrumented hot path free of counters, and the
+// equivalence is pinned by TestLinkCountedMatchesLink. Returning the
+// counts instead of storing through a shared struct lets callers keep
+// them in chunk-local accumulators (LinkStats.Add).
+func LinkCounted(p Parent, u, v graph.V) (iters, casFails int64, merged bool) {
 	// The entry comparison counts as one local iteration, matching the
 	// paper's accounting: an edge whose trees already converged runs "a
 	// single local iteration of link for validation" (Section V-A).
-	iters := int64(1)
+	iters = 1
 	p1 := p.Get(u)
 	p2 := p.Get(v)
 	for p1 != p2 {
@@ -88,18 +109,15 @@ func LinkCounted(p Parent, u, v graph.V, st *LinkStats) {
 		}
 		if ph == h {
 			if p.cas(h, h, l) {
-				st.Merges++
+				merged = true
 				break
 			}
-			st.CASFails++
+			casFails++
 		}
 		p1 = p.Get(p.Get(h))
 		p2 = p.Get(l)
 	}
-	st.Iterations += iters
-	if iters > st.MaxIters {
-		st.MaxIters = iters
-	}
+	return iters, casFails, merged
 }
 
 // RunStats is the full Table II record for one Afforest execution.
@@ -113,9 +131,9 @@ type RunStats struct {
 }
 
 // RunInstrumented executes Afforest exactly like Run while collecting
-// RunStats. Per-worker stats are accumulated without synchronization in
-// worker-private structs and merged at phase boundaries, so the
-// measured algorithm is the same algorithm. When opt.Observer is also
+// RunStats. Each chunk accumulates its stats in a chunk-local struct,
+// folded into a worker-private slot once per chunk and merged at phase
+// boundaries, so the measured algorithm is the same algorithm. When opt.Observer is also
 // set, it receives the same phase tree Run would emit.
 func RunInstrumented(g *graph.CSR, opt Options) (Parent, *RunStats) {
 	n := g.NumVertices()
@@ -130,7 +148,7 @@ func RunInstrumented(g *graph.CSR, opt Options) (Parent, *RunStats) {
 			rs.MaxDepth = d
 		}
 	}
-	runObservedOn(g, opt, p, ob, afterLink)
+	run(g, opt, p, ob, afterLink)
 	return p, rs
 }
 
@@ -153,222 +171,30 @@ func (o *runStatsObserver) EndPhase(_ obs.SpanID, st obs.PhaseStats) {
 	}
 }
 
-// runObservedOn is Run's phase loop with LinkCounted in place of Link
-// and a span per phase, writing into the caller's p. The loops mirror
-// Run exactly (raw CSR slices, the same grains, the same arc-balanced
-// final pass); afterLink, when non-nil, runs after each link phase
-// closes and before its compress — RunInstrumented measures tree depth
-// there. Callers guarantee n > 0 and ob != nil.
-func runObservedOn(g *graph.CSR, opt Options, p Parent, ob obs.Observer, afterLink func()) {
-	n := g.NumVertices()
-	root := ob.BeginPhase(obs.PhaseRun)
-	rounds := opt.rounds()
-	workers := workerCount(opt.Parallelism)
-	offsets, targets := g.Adjacency(0, n)
-
-	mergeWorkers := func(per []LinkStats) obs.PhaseStats {
-		var total LinkStats
-		for w := range per {
-			total.merge(&per[w])
-		}
-		return total.PhaseStats()
-	}
-
-	for r := 0; r < rounds; r++ {
-		span := ob.BeginPhase(obs.PhaseNeighborRound)
-		per := make([]LinkStats, workers)
-		rr := int64(r)
-		if opt.GatherLinks {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
-				linkRoundGatheredCounted(p, offsets, targets, rr, lo, hi, &per[w])
-			})
-		} else {
-			concurrent.ForRange(n, opt.Parallelism, 512, func(lo, hi, w int) {
-				st := &per[w]
-				for u := lo; u < hi; u++ {
-					if k := offsets[u] + rr; k < offsets[u+1] {
-						LinkCounted(p, graph.V(u), targets[k], st)
-					}
-				}
-			})
-		}
-		ob.EndPhase(span, mergeWorkers(per))
-		if afterLink != nil {
-			afterLink()
-		}
-		span = ob.BeginPhase(obs.PhaseCompress)
-		compressVariant(p, opt)
-		ob.EndPhase(span, obs.PhaseStats{})
-	}
-
-	var c graph.V
-	skip := opt.SkipLargest
-	if skip {
-		span := ob.BeginPhase(obs.PhaseSample)
-		var ratio float64
-		c, ratio = SampleFrequentElementRatio(p, opt.sampleSize(), opt.Seed)
-		ob.EndPhase(span, obs.PhaseStats{SkipRatio: ratio})
-	}
-
-	// Relabeled form of phases 3–4. p stays the (valid, stale) pre-final
-	// forest through the relabel and final spans — the pass runs on the
-	// packed π — and receives the exact labels inside the final_compress
-	// span, so every boundary an auditor observes satisfies the forest
-	// invariants and the closing boundary delivers the labeling.
-	if skip && opt.RelabelFinal {
-		span := ob.BeginPhase(obs.PhaseRelabel)
-		rv := buildRelabeledView(g, opt, p, c)
-		ob.EndPhase(span, obs.PhaseStats{})
-
-		span = ob.BeginPhase(obs.PhaseFinal)
-		per := make([]LinkStats, workers)
-		rv.linkCompactCounted(opt, per)
-		st := mergeWorkers(per)
-		// The compact pass has no per-vertex filter; the packing itself
-		// was the decision. Report it as such: every vertex was checked
-		// once (against the snapshot), the giant group was skipped.
-		st.Checked = int64(n)
-		st.Skipped = int64(n - rv.nActive)
-		ob.EndPhase(span, st)
-
-		span = ob.BeginPhase(obs.PhaseFinalCompress)
-		rv.finishInto(p, opt, c)
-		ob.EndPhase(span, obs.PhaseStats{})
-		if afterLink != nil {
-			afterLink()
-		}
-		ob.EndPhase(root, obs.PhaseStats{})
-		return
-	}
-
-	span := ob.BeginPhase(obs.PhaseFinal)
-	per := make([]LinkStats, workers)
-	skipArcs := int64(rounds)
-	var finalBody func(vlo, vhi int, alo, ahi int64, w int)
-	if opt.GatherLinks {
-		finalBody = func(vlo, vhi int, alo, ahi int64, w int) {
-			finalRangeGatheredCounted(p, offsets, targets, skipArcs, c, skip, vlo, vhi, alo, ahi, &per[w])
-		}
-	} else {
-		finalBody = func(vlo, vhi int, alo, ahi int64, w int) {
-			st := &per[w]
-			for u := vlo; u < vhi; u++ {
-				lo, hi := offsets[u]+skipArcs, offsets[u+1]
-				if lo < alo {
-					lo = alo
-				}
-				if hi > ahi {
-					hi = ahi
-				}
-				if lo >= hi {
-					continue
-				}
-				uu := graph.V(u)
-				if skip {
-					st.Checked++
-					if p.Get(uu) == c {
-						st.Skipped++
-						continue
-					}
-				}
-				for _, v := range targets[lo:hi] {
-					LinkCounted(p, uu, v, st)
-				}
-			}
-		}
-	}
-	if opt.BlockedFinal {
-		concurrent.ForEdgeBlocks(offsets, opt.Parallelism, opt.EdgeGrain, opt.BlockVertices, finalBody)
-	} else {
-		concurrent.ForEdgeRange(offsets, opt.Parallelism, opt.EdgeGrain, finalBody)
-	}
-	ob.EndPhase(span, mergeWorkers(per))
-	if afterLink != nil {
-		afterLink()
-	}
-
-	span = ob.BeginPhase(obs.PhaseFinalCompress)
-	CompressAll(p, opt.Parallelism)
-	ob.EndPhase(span, obs.PhaseStats{})
-	ob.EndPhase(root, obs.PhaseStats{})
-}
-
 // LinkAllObserved is LinkAllGrain emitting one link_all span with the
 // phase's accounting through ob. A nil observer falls through to the
 // uninstrumented pass.
 func LinkAllObserved(g *graph.CSR, p Parent, parallelism, edgeGrain int, ob obs.Observer) {
-	if ob == nil {
-		LinkAllGrain(g, p, parallelism, edgeGrain)
-		return
-	}
 	n := g.NumVertices()
 	if n == 0 {
 		return
 	}
-	span := ob.BeginPhase(obs.PhaseLinkAll)
-	per := make([]LinkStats, workerCount(parallelism))
 	offsets, targets := g.Adjacency(0, n)
-	concurrent.ForEdgeRange(offsets, parallelism, edgeGrain, func(vlo, vhi int, alo, ahi int64, w int) {
-		st := &per[w]
-		for u := vlo; u < vhi; u++ {
-			lo, hi := offsets[u], offsets[u+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			uu := graph.V(u)
-			for _, v := range targets[lo:hi] {
-				LinkCounted(p, uu, v, st)
-			}
-		}
-	})
-	var total LinkStats
-	for w := range per {
-		total.merge(&per[w])
-	}
-	ob.EndPhase(span, total.PhaseStats())
+	opt := Options{Parallelism: parallelism, EdgeGrain: edgeGrain}
+	span := beginPhase(ob, obs.PhaseLinkAll)
+	endPhase(ob, span, linkRemaining(p, offsets, targets, 0, false, 0, opt, ob != nil))
 }
 
-// EdgesProcessed estimates work saved by sampling+skipping: it runs
-// Afforest while counting arcs actually passed to Link, and returns
-// that count together with the total arc count.
+// EdgesProcessed measures the work saved by sampling and skipping: it
+// runs Afforest and returns the number of arcs handed to Link — the sum
+// of Links over the run's phases, so exactly what Run processes —
+// together with the total arc count.
 func EdgesProcessed(g *graph.CSR, opt Options) (processed, total int64) {
 	n := g.NumVertices()
-	p := NewParent(n)
-	total = g.NumArcs()
 	if n == 0 {
 		return 0, 0
 	}
-	rounds := opt.rounds()
-	var count atomic.Int64
-	for r := 0; r < rounds; r++ {
-		parallelFor(n, opt.Parallelism, func(i int) {
-			u := graph.V(i)
-			if r < g.Degree(u) {
-				Link(p, u, g.Neighbor(u, r))
-				count.Add(1)
-			}
-		})
-		CompressAll(p, opt.Parallelism)
-	}
-	var c graph.V
-	if opt.SkipLargest {
-		c = SampleFrequentElement(p, opt.sampleSize(), opt.Seed)
-	}
-	parallelFor(n, opt.Parallelism, func(i int) {
-		u := graph.V(i)
-		if opt.SkipLargest && p.Get(u) == c {
-			return
-		}
-		if deg := g.Degree(u); deg > rounds {
-			count.Add(int64(deg - rounds))
-			for k := rounds; k < deg; k++ {
-				Link(p, u, g.Neighbor(u, k))
-			}
-		}
-	})
-	CompressAll(p, opt.Parallelism)
-	return count.Load(), total
+	var rs RunStats
+	run(g, opt, NewParent(n), &runStatsObserver{rs: &rs}, nil)
+	return rs.Link.Calls, g.NumArcs()
 }

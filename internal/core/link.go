@@ -103,24 +103,5 @@ func LinkAll(g *graph.CSR, p Parent, parallelism int) {
 // LinkAllGrain is LinkAll with an explicit arc-chunk grain (0 means
 // concurrent.DefaultEdgeGrain).
 func LinkAllGrain(g *graph.CSR, p Parent, parallelism, edgeGrain int) {
-	n := g.NumVertices()
-	if n == 0 {
-		return
-	}
-	offsets, targets := g.Adjacency(0, n)
-	concurrent.ForEdgeRange(offsets, parallelism, edgeGrain, func(vlo, vhi int, alo, ahi int64, _ int) {
-		for u := vlo; u < vhi; u++ {
-			lo, hi := offsets[u], offsets[u+1]
-			if lo < alo {
-				lo = alo
-			}
-			if hi > ahi {
-				hi = ahi
-			}
-			uu := graph.V(u)
-			for _, v := range targets[lo:hi] {
-				Link(p, uu, v)
-			}
-		}
-	})
+	LinkAllObserved(g, p, parallelism, edgeGrain, nil)
 }

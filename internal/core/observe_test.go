@@ -76,8 +76,8 @@ func TestRunObservedPhaseTree(t *testing.T) {
 }
 
 // TestRunObservedEdgeAccounting cross-checks the span Edges counters
-// against EdgesProcessed: serially (Parallelism 1) both walk identical
-// per-vertex skip decisions, so the totals must agree exactly.
+// against EdgesProcessed: serially (Parallelism 1) both runs take
+// identical skip decisions, so the totals must agree exactly.
 func TestRunObservedEdgeAccounting(t *testing.T) {
 	g := gen.Kronecker(11, 8, gen.Graph500, 5)
 	opt := Options{SkipLargest: true, Parallelism: 1, Seed: 5}

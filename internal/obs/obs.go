@@ -38,9 +38,9 @@ type PhaseStats struct {
 // ObservedSkipRatio is the realized (not sampled) skip fraction of a
 // final pass: Skipped over Checked, or 0 when the phase checked nothing.
 // The sample phase's SkipRatio is the a-priori estimate; this is what
-// the pass actually saw, which the relabeled final pass reports even
-// though it never runs a per-vertex filter (the compacted view skips by
-// construction).
+// the pass actually saw. The filter runs once per vertex per arc chunk,
+// so a hub split across chunks counts once per chunk: the ratio is a
+// per-decision rate, not a per-vertex census.
 func (s PhaseStats) ObservedSkipRatio() float64 {
 	if s.Checked == 0 {
 		return 0
@@ -90,7 +90,6 @@ const (
 	PhaseCompress      = "compress"         // inter-round compress pass (Fig 5 lines 6-8)
 	PhaseSample        = "sample_frequent"  // most-frequent-element search (Fig 5 line 10)
 	PhaseFinal         = "final_skip_pass"  // skip-aware pass over remaining edges (Fig 5 lines 11-15)
-	PhaseRelabel       = "relabel"          // frequency-based repacking of π + adjacency before the final pass
 	PhaseFinalCompress = "final_compress"   // final flattening pass (Fig 5 lines 16-18)
 	PhaseLinkAll       = "link_all"         // unsampled full link pass (Section III)
 	PhaseEdgeBatch     = "edge_batch_apply" // one coalesced incremental edge batch

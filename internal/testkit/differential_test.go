@@ -43,8 +43,7 @@ func TestDifferentialVariants(t *testing.T) {
 	m := Matrix{
 		Algos: []string{
 			"afforest-noskip", "afforest-nosample", "afforest-halving",
-			"afforest-shortcut", "afforest-gather", "afforest-relabel",
-			"afforest-blocked",
+			"afforest-gather",
 			"linkall", "sv-edgelist", "lp-datadriven", "bfs",
 		},
 		Seeds:   []uint64{6, 7},
