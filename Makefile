@@ -14,9 +14,10 @@ test:
 
 # check is the correctness gate: static checks, the full test suite,
 # the race matrix over the schedule-sensitive packages, a smoke run of
-# every fuzz target, the multi-process cluster smoke, and a run-vs-self
-# pass of the perf gate. This is what CI should run.
-check: vet build perfbench-build test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke perfgate-smoke
+# every fuzz target, the multi-process cluster smoke, a run of every
+# example program, and a run-vs-self pass of the perf gate. This is what
+# CI should run.
+check: vet build perfbench-build test race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke examples-smoke perfgate-smoke
 
 # perfbench is a nested module, so `go build ./...` at the root skips
 # it. Vet and compile it (without running the benchmark) so a change to
@@ -75,6 +76,16 @@ cluster-smoke:
 provenance-smoke:
 	$(GO) test -run='^TestProvenanceSmoke$$' -count=1 -v ./cmd/ccserve
 
+# examples-smoke builds and runs every examples/* program and fails on a
+# nonzero exit (most examples check their answers against an oracle and
+# exit nonzero on a mismatch), so an API change that breaks an example
+# fails the gate instead of going unnoticed.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "== example: $$d =="; \
+		$(GO) run ./$$d >/dev/null || exit 1; \
+	done
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem .
 
@@ -108,4 +119,4 @@ perfgate-smoke:
 		rm -f $$tmp || exit 1; \
 	done
 
-.PHONY: all build vet perfbench-build test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke bench perfgate perfgate-smoke
+.PHONY: all build vet perfbench-build test check race-matrix fuzz-smoke wal-smoke cluster-smoke provenance-smoke examples-smoke bench perfgate perfgate-smoke

@@ -87,7 +87,7 @@ func clusterMain(shardList, addr, debugAddr, in, genName, restore, save string, 
 		router.NumShards(), router.NumVertices(), time.Since(start).Round(time.Millisecond),
 		st.Rounds, (st.BytesSent+st.BytesRecv)/1024, ln.Addr())
 
-	httpSrv := &http.Server{Handler: router}
+	httpSrv := newHTTPServer("", router)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)

@@ -143,7 +143,7 @@ func main() {
 		}()
 	}
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv}
+	httpSrv := newHTTPServer(*addr, srv)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -183,6 +183,27 @@ func main() {
 func drainServer(ctx context.Context, httpSrv *http.Server, srv *serve.Server) error {
 	srv.Close()
 	return httpSrv.Shutdown(ctx)
+}
+
+// Connection timeouts for every HTTP listener ccserve opens. A client
+// that trickles request headers or parks an idle keep-alive connection
+// is cut off instead of holding a goroutine and a socket forever. There
+// is deliberately no ReadTimeout or WriteTimeout: GET /events streams
+// stay open for as long as the subscriber listens.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer is the one constructor for ccserve's HTTP servers; addr
+// may be empty when the caller serves on its own listener.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 // buildServer resolves the graph source flags into a running server.
@@ -241,7 +262,7 @@ func startInProcess(srv *serve.Server) (string, func(), error) {
 	if err != nil {
 		return "", nil, err
 	}
-	httpSrv := &http.Server{Handler: srv}
+	httpSrv := newHTTPServer("", srv)
 	go httpSrv.Serve(ln)
 	stop := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)

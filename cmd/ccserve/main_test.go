@@ -1,6 +1,7 @@
 package main
 
 import (
+	"net/http"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -113,5 +114,17 @@ func TestLoadtestAgainstInProcessServer(t *testing.T) {
 func TestRunLoadtestRejectsBadConfig(t *testing.T) {
 	if _, err := runLoadtest("http://127.0.0.1:1", loadConfig{Duration: time.Millisecond, Clients: 1, ReadFrac: 0.5}); err == nil {
 		t.Fatal("unreachable target accepted")
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the listener hardening: header reads and
+// idle keep-alives are bounded, while whole-request read and write
+// deadlines stay unset so GET /events streams are never cut off.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	hs := newHTTPServer("127.0.0.1:0", http.NotFoundHandler())
+	if hs.Addr != "127.0.0.1:0" || hs.ReadHeaderTimeout != readHeaderTimeout || hs.IdleTimeout != idleTimeout ||
+		readHeaderTimeout <= 0 || idleTimeout <= 0 || hs.ReadTimeout != 0 || hs.WriteTimeout != 0 {
+		t.Fatalf("addr %q, header %v, idle %v, read %v, write %v: want the addr passed through, header and idle timeouts set, no read or write timeout",
+			hs.Addr, hs.ReadHeaderTimeout, hs.IdleTimeout, hs.ReadTimeout, hs.WriteTimeout)
 	}
 }

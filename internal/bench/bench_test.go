@@ -231,8 +231,29 @@ func TestExtDistShape(t *testing.T) {
 	cfg := smallCfg()
 	cfg.Scale = 10
 	tb := ExtDist(cfg)
+	want := "graph nodes cut_edges aff_rounds aff_msgs aff_bytes lp_rounds lp_msgs msg_ratio"
+	if got := strings.Join(tb.Headers, " "); got != want {
+		t.Fatalf("header = %q, want %q", got, want)
+	}
 	if len(tb.Rows) != 8 { // 2 graphs x 4 node counts
 		t.Fatalf("rows = %d", len(tb.Rows))
+	}
+	// Local union-find collapses road's diameter inside each shard, so
+	// the exchange needs far fewer rounds than LP's one hop per round.
+	for _, row := range tb.Rows {
+		if row[0] != "road" {
+			continue
+		}
+		var affRounds, lpRounds int
+		if _, err := fmt.Sscan(row[3], &affRounds); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fmt.Sscan(row[6], &lpRounds); err != nil {
+			t.Fatal(err)
+		}
+		if affRounds >= lpRounds {
+			t.Fatalf("road/%s nodes: aff_rounds %d not below lp_rounds %d", row[1], affRounds, lpRounds)
+		}
 	}
 }
 

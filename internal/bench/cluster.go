@@ -8,6 +8,7 @@ import (
 
 	"afforest/internal/cluster"
 	"afforest/internal/gen"
+	"afforest/internal/graph"
 )
 
 // clusterShards is the fixed topology of the cluster trajectory cells:
@@ -60,30 +61,9 @@ func ClusterTrajectory(cfg Config) *TrajectoryReport {
 		durations := make([]time.Duration, 0, cfg.Runs)
 		var wireBytes int64
 		for run := 0; run < cfg.Runs; run++ {
-			l, err := cluster.StartLocal(g.NumVertices(), clusterShards,
-				cluster.Config{Parallelism: cfg.Parallelism})
-			if err != nil {
-				panic(fmt.Sprintf("bench: cluster boot failed: %v", err))
-			}
-			start := time.Now()
-			if err := l.Router.LoadGraph(g); err != nil {
-				l.Close()
-				panic(fmt.Sprintf("bench: cluster load failed: %v", err))
-			}
-			durations = append(durations, time.Since(start))
-			if run == 0 {
-				st := l.Router.Stats()
-				wireBytes = st.BytesSent + st.BytesRecv
-				if cfg.Validate {
-					labels, err := l.Router.GlobalLabels()
-					if err != nil {
-						l.Close()
-						panic(fmt.Sprintf("bench: cluster labels: %v", err))
-					}
-					checkLabeling(cfg, g, "cluster/"+name, labels)
-				}
-			}
-			l.Close()
+			st, elapsed := loadCluster(cfg, g, clusterShards, "cluster/"+name)
+			durations = append(durations, elapsed)
+			wireBytes = st.BytesSent + st.BytesRecv
 		}
 		sort.Slice(durations, func(i, j int) bool { return durations[i] < durations[j] })
 		median := durations[len(durations)/2]
@@ -106,4 +86,31 @@ func ClusterTrajectory(cfg Config) *TrajectoryReport {
 		)
 	}
 	return rep
+}
+
+// loadCluster boots a fresh shards-wide loopback cluster sized for g,
+// streams g through Router.LoadGraph, checks the assembled global
+// labels against the oracle under algName (when cfg.Validate is set),
+// and returns the router's wire tallies and the load's wall time. The
+// cluster is torn down before it returns.
+func loadCluster(cfg Config, g *graph.CSR, shards int, algName string) (cluster.RouterStats, time.Duration) {
+	l, err := cluster.StartLocal(g.NumVertices(), shards,
+		cluster.Config{Parallelism: cfg.Parallelism})
+	if err != nil {
+		panic(fmt.Sprintf("bench: cluster boot failed: %v", err))
+	}
+	defer l.Close()
+	start := time.Now()
+	if err := l.Router.LoadGraph(g); err != nil {
+		panic(fmt.Sprintf("bench: cluster load failed: %v", err))
+	}
+	elapsed := time.Since(start)
+	if cfg.Validate {
+		labels, err := l.Router.GlobalLabels()
+		if err != nil {
+			panic(fmt.Sprintf("bench: cluster labels: %v", err))
+		}
+		checkLabeling(cfg, g, algName, labels)
+	}
+	return l.Router.Stats(), elapsed
 }

@@ -1,15 +1,20 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
+	"afforest/internal/dist"
 	"afforest/internal/gen"
 	"afforest/internal/graph"
 )
@@ -48,31 +53,16 @@ func testGraphs() map[string]*graph.CSR {
 	}
 }
 
-// TestClusterMatchesSingleNode loads each graph into 1-, 2-, 3-, and
-// 4-shard topologies and requires the assembled global labeling to
-// equal the canonical min-id labeling exactly.
+// TestClusterMatchesSingleNode loads each graph into 1-, 2-, 3-, 4- and
+// 7-shard topologies (7 leaves an uneven last block on every graph) and
+// requires the assembled global labeling to equal the canonical min-id
+// labeling exactly.
 func TestClusterMatchesSingleNode(t *testing.T) {
 	for name, g := range testGraphs() {
 		want := canonical(g)
-		for _, shards := range []int{1, 2, 3, 4} {
+		for _, shards := range []int{1, 2, 3, 4, 7} {
 			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				l, err := StartLocal(g.NumVertices(), shards, Config{})
-				if err != nil {
-					t.Fatalf("StartLocal: %v", err)
-				}
-				defer l.Close()
-				if err := l.Router.LoadGraph(g); err != nil {
-					t.Fatalf("LoadGraph: %v", err)
-				}
-				got, err := l.Router.GlobalLabels()
-				if err != nil {
-					t.Fatalf("GlobalLabels: %v", err)
-				}
-				for v := range want {
-					if got[v] != want[v] {
-						t.Fatalf("label[%d] = %d, want %d", v, got[v], want[v])
-					}
-				}
+				l := loadCanonical(t, g, shards)
 				// Point queries agree with the labeling.
 				checks := [][2]graph.V{{0, graph.V(g.NumVertices() - 1)}, {0, 1}}
 				for _, c := range checks {
@@ -86,6 +76,137 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// loadCanonical loads g into a fresh shards-wide cluster, closed when
+// the test ends, and requires the canonical labeling.
+func loadCanonical(t *testing.T, g *graph.CSR, shards int) *Local {
+	t.Helper()
+	l, err := StartLocal(g.NumVertices(), shards, Config{})
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	t.Cleanup(l.Close)
+	if err := l.Router.LoadGraph(g); err != nil {
+		t.Fatalf("LoadGraph: %v", err)
+	}
+	got, err := l.Router.GlobalLabels()
+	if err != nil {
+		t.Fatalf("GlobalLabels: %v", err)
+	}
+	for v, want := range canonical(g) {
+		if got[v] != want {
+			t.Fatalf("%d shards: label[%d] = %d, want %d", shards, v, got[v], want)
+		}
+	}
+	return l
+}
+
+// TestExchangeProperties pins what the ghost-label exchange promises
+// about communication, measured on real loopback shards: rounds track
+// the partition quotient graph, not the graph diameter; traffic tracks
+// the cut, not |E|; and it undercuts halo-exchange LP on high-diameter
+// graphs. Every load must also reproduce the canonical labeling.
+func TestExchangeProperties(t *testing.T) {
+	pathEdges := make([]graph.Edge, 0, 999)
+	for v := 0; v+1 < 1000; v++ {
+		pathEdges = append(pathEdges, graph.Edge{U: graph.V(v), V: graph.V(v + 1)})
+	}
+	path := graph.Build(pathEdges, graph.BuildOptions{NumVertices: 1000})
+	cases := []struct {
+		name   string
+		g      *graph.CSR
+		shards int
+		want   string
+		holds  func(t *testing.T, g *graph.CSR, st RouterStats) bool
+	}{
+		// The quotient graph of 8 blocks of a path is an 8-node path;
+		// the graph diameter is 999.
+		{"high_diameter", path, 8, "at most 16 rounds",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool { return st.Rounds <= 16 }},
+		{"single_shard_silent", gen.URandDegree(2000, 8, 5), 1, "no cut edges and no pairs",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool { return st.CutEdges == 0 && st.Messages == 0 }},
+		{"many_components", gen.URandComponents(4000, 8, 0.1, 9), 8, "some pairs exchanged",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool { return st.Messages > 0 }},
+		{"cut_edges_grow", gen.URandDegree(4000, 16, 3), 8, "more cut edges than over 2 shards",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool {
+				return st.CutEdges > loadCanonical(t, g, 2).Router.Stats().CutEdges
+			}},
+		{"fewer_pairs_than_lp", gen.Road(10_000, 5), 8, "fewer pairs than LP's halo messages",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool {
+				_, lp := dist.LP(g, 8)
+				return st.Messages < lp.Messages
+			}},
+		{"pairs_below_arcs", gen.URandDegree(20_000, 16, 7), 4, "fewer pairs than arcs",
+			func(t *testing.T, g *graph.CSR, st RouterStats) bool { return st.Messages < g.NumArcs() }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if st := loadCanonical(t, tc.g, tc.shards).Router.Stats(); !tc.holds(t, tc.g, st) {
+				t.Fatalf("%d shards: want %s, got %+v", tc.shards, tc.want, st)
+			}
+		})
+	}
+}
+
+// TestShardConnPoisonedAfterTransportError drives a router-side
+// connection against a fake shard that answers with scripted bytes. An
+// opError reply leaves the connection usable; a bad length prefix
+// followed by a well-formed frame must poison it, so the next call
+// fails wrapping the first error instead of decoding the leftover
+// bytes as its reply.
+func TestShardConnPoisonedAfterTransportError(t *testing.T) {
+	ping := []byte{0, 0, 0, 1, opPing}
+	script := [][]byte{
+		{0, 0, 0, 5, opError, 'b', 'o', 'o', 'm'},
+		ping,
+		append([]byte{0xFF, 0xFF, 0xFF, 0xFF, opPing}, ping...),
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for _, reply := range script {
+			if _, _, _, err := readFrame(conn); err != nil {
+				return
+			}
+			conn.Write(reply)
+		}
+		io.Copy(io.Discard, conn) // hold the connection open until the router drops it
+	}()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countedConn{rw: conn}
+	sc := &shardConn{conn: conn, cc: cc, br: bufio.NewReader(cc)}
+
+	if _, err := sc.rpc(opPing, nil); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("opError reply: err = %v, want the shard's message", err)
+	}
+	if _, err := sc.rpc(opPing, nil); err != nil {
+		t.Fatalf("call after an opError reply: %v", err)
+	}
+	_, first := sc.rpc(opPing, nil)
+	if first == nil {
+		t.Fatal("bad length prefix accepted")
+	}
+	sent := cc.sent.Load()
+	if _, err := sc.rpc(opPing, nil); !errors.Is(err, first) {
+		t.Fatalf("call after a transport error: err = %v, want it to wrap %v", err, first)
+	}
+	conn.SetReadDeadline(time.Now().Add(time.Second)) // an open socket times out instead
+	if _, err := conn.Read(make([]byte, 1)); cc.sent.Load() != sent || !errors.Is(err, net.ErrClosed) {
+		t.Fatalf("poisoned connection: %d bytes written after the error, read err %v; want 0, closed",
+			cc.sent.Load()-sent, err)
 	}
 }
 
@@ -319,6 +440,16 @@ func TestClusterHTTPSurface(t *testing.T) {
 	}
 	if resp := post(`{"nope":1}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("POST /edges unknown field: status %d, want 400", resp.StatusCode)
+	}
+	// A body one pair past the cap is refused whole. The recorder keeps
+	// the client from racing the early 413 with the rest of its upload.
+	accepted := l.Router.EdgesAccepted()
+	rec := httptest.NewRecorder()
+	oversize := `{"edges":[` + strings.Repeat("[0,1],", maxEdgesBody/6) + `[0,1]]}`
+	l.Router.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(oversize)))
+	if rec.Code != http.StatusRequestEntityTooLarge || l.Router.EdgesAccepted() != accepted {
+		t.Fatalf("POST /edges oversize: status %d, %d edges applied; want 413, none",
+			rec.Code, l.Router.EdgesAccepted()-accepted)
 	}
 
 	var stats struct {

@@ -79,6 +79,11 @@ type shardConn struct {
 	conn net.Conn
 	cc   *countedConn
 	br   *bufio.Reader
+	// broken is the first transport error (a failed write or read, or
+	// a response for another op). The stream may then hold a partial
+	// frame, so the connection is closed and every later call fails
+	// with this error wrapped, without touching the socket.
+	broken error
 }
 
 // rpc issues one untraced request frame and reads its response,
@@ -97,24 +102,37 @@ func (sc *shardConn) rpc(op byte, payload []byte) ([]byte, error) {
 func (sc *shardConn) rpcCtx(op byte, tc traceCtx, payload []byte) (resp []byte, sent, recv int64, err error) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
+	if sc.broken != nil {
+		return nil, 0, 0, fmt.Errorf("cluster: connection closed after earlier error: %w", sc.broken)
+	}
 	s0, r0 := sc.cc.sent.Load(), sc.cc.recv.Load()
 	defer func() {
 		sent, recv = sc.cc.sent.Load()-s0, sc.cc.recv.Load()-r0
 	}()
 	if err := writeFrameCtx(sc.cc, op, tc, payload); err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, sc.poison(err)
 	}
 	respOp, _, resp, err := readFrame(sc.br)
 	if err != nil {
-		return nil, 0, 0, err
+		return nil, 0, 0, sc.poison(err)
 	}
+	// An opError reply is a whole frame, so the framing stays in step
+	// and the connection stays usable.
 	if respOp == opError {
 		return nil, 0, 0, fmt.Errorf("cluster: %s", resp)
 	}
 	if respOp != op {
-		return nil, 0, 0, fmt.Errorf("cluster: response op %d for request op %d", respOp, op)
+		return nil, 0, 0, sc.poison(fmt.Errorf("cluster: response op %d for request op %d", respOp, op))
 	}
 	return resp, 0, 0, nil
+}
+
+// poison records err as the connection's first transport error, closes
+// the socket, and returns err. Caller holds sc.mu.
+func (sc *shardConn) poison(err error) error {
+	sc.broken = err
+	sc.conn.Close()
+	return err
 }
 
 // slot is one membership slot of the fixed-width partition: either an
@@ -463,8 +481,7 @@ func (r *Router) sendEdges(rc rctx, sl *slot, id int, edges []pair) (int64, erro
 
 // routeEdges splits an edge batch into per-owner lists. Every edge goes
 // to owner(u); a cut edge additionally goes to owner(v) as a ghost copy
-// (both sides must link it, exactly as both endpoints' nodes do in the
-// simulation), whose merge count is not double-counted.
+// (both sides must link it), whose merge count is not double-counted.
 func (r *Router) routeEdges(edges []graph.Edge) (primary, ghost [][]pair) {
 	primary = make([][]pair, r.numShards)
 	ghost = make([][]pair, r.numShards)
@@ -553,8 +570,8 @@ func (r *Router) LoadGraph(g *graph.CSR) error {
 // round, every shard's outbox of (remote ref, local label) opinions is
 // gathered, grouped by owner, ingested there, and the owners' canonical
 // labels are routed back and absorbed. One round's RPCs fan out
-// concurrently across shards with a barrier between phases — the
-// superstep structure of dist.ConnectedComponents on a real wire.
+// concurrently across shards with a barrier between phases — BSP
+// supersteps on a real wire.
 // When rc is traced, the exchange gets a grouping span with one child
 // span per round; every shard RPC hangs off its round. Each round also
 // feeds the cluster anomaly rules: per-shard lag, absorb churn, and —
@@ -900,8 +917,7 @@ func (r *Router) explainLocked(rc rctx, u, v graph.V) (bool, []provenance.Hop, b
 
 // GlobalLabels fans out to every slot for its owned-range labels and
 // shortcuts cross-shard label chains to roots — the canonical min-id
-// labeling a single-node run would produce (the final ownership pass of
-// the simulation, executed at the router over real shard responses).
+// labeling a single-node run would produce.
 func (r *Router) GlobalLabels() ([]graph.V, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -1078,8 +1094,12 @@ func (r *Router) activeCount() float64 {
 	return float64(active)
 }
 
-// RouterStats is the wire-level tally the simulation's dist.Stats
-// becomes in deployment.
+// RouterStats is the router's measured wire tally. Messages counts
+// every (vertex, label) pair the exchange moves — outbox, ingest, reply
+// and absorb — so a single-round load moves each boundary opinion four
+// times; BytesSent and BytesRecv count what the wire carried, frame
+// prefixes included. Rounds and Exchanges accumulate over every load
+// and write since the router started.
 type RouterStats struct {
 	Shards    int   `json:"shards"`
 	Active    int   `json:"active"`
@@ -1241,13 +1261,23 @@ type edgesRequest struct {
 	Edges [][2]uint32 `json:"edges"`
 }
 
+// maxEdgesBody caps a POST /edges body, as on the single-node server:
+// room for about a million JSON pairs, while bounding what one request
+// can make the decoder buffer.
+const maxEdgesBody = 16 << 20
+
 func (r *Router) handleEdges(w http.ResponseWriter, req *http.Request) {
 	r.reqs.edges.Inc()
 	var body edgesRequest
-	dec := json.NewDecoder(req.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxEdgesBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&body); err != nil {
-		r.httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		r.httpError(w, code, "bad body: "+err.Error())
 		return
 	}
 	var edges []graph.Edge

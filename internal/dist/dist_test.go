@@ -1,220 +1,41 @@
-package dist
+package dist_test
 
 import (
 	"testing"
 
+	"afforest/internal/cluster"
 	"afforest/internal/gen"
-	"afforest/internal/graph"
+	"afforest/internal/validate"
 )
 
-func assertMatchesOracle(t *testing.T, g *graph.CSR, labels []graph.V) {
-	t.Helper()
-	oracle, _ := graph.SequentialCC(g)
-	fwd := make(map[int32]graph.V)
-	rev := make(map[graph.V]int32)
-	for v := range oracle {
-		o, l := oracle[v], labels[v]
-		if want, ok := fwd[o]; ok && want != l {
-			t.Fatalf("vertex %d labeled %d, component already saw %d", v, l, want)
-		}
-		fwd[o] = l
-		if want, ok := rev[l]; ok && want != o {
-			t.Fatalf("label %d spans two oracle components", l)
-		}
-		rev[l] = o
-	}
-}
-
-func TestPartitioningOwnerAndRange(t *testing.T) {
-	p := NewPartitioning(100, 4)
-	seen := 0
-	for id := 0; id < p.NumNodes; id++ {
-		lo, hi := p.Range(id)
-		for v := lo; v < hi; v++ {
-			if p.Owner(graph.V(v)) != id {
-				t.Fatalf("vertex %d: owner %d, range says %d", v, p.Owner(graph.V(v)), id)
-			}
-			seen++
-		}
-	}
-	if seen != 100 {
-		t.Fatalf("ranges cover %d vertices, want 100", seen)
-	}
-}
-
-func TestPartitioningEdgeCases(t *testing.T) {
-	p := NewPartitioning(3, 10) // more nodes than vertices
-	if p.NumNodes != 3 {
-		t.Fatalf("nodes clamped to %d, want 3", p.NumNodes)
-	}
-	p = NewPartitioning(10, 0) // degenerate node count
-	if p.NumNodes != 1 {
-		t.Fatalf("nodes = %d, want 1", p.NumNodes)
-	}
-	lo, hi := p.Range(0)
-	if lo != 0 || hi != 10 {
-		t.Fatalf("range = [%d,%d)", lo, hi)
-	}
-}
-
+// TestDistributedMatchesOracleOnSuite runs the ghost-label exchange on
+// real loopback shards laid out by Partitioning, over the generator
+// suite at 1, 2, 4 and 7 shards (7 leaves an uneven last block), and
+// requires an oracle-equivalent labeling from every load.
 func TestDistributedMatchesOracleOnSuite(t *testing.T) {
 	for _, sg := range gen.Suite() {
 		g := sg.Build(9, 33)
 		for _, nodes := range []int{1, 2, 4, 7} {
-			labels, st := ConnectedComponents(g, nodes)
-			assertMatchesOracle(t, g, labels)
-			if st.Nodes != nodes && g.NumVertices() >= nodes {
-				t.Fatalf("%s: stats report %d nodes, want %d", sg.Name, st.Nodes, nodes)
+			l, err := cluster.StartLocal(g.NumVertices(), nodes, cluster.Config{})
+			if err != nil {
+				t.Fatalf("%s/%d shards: StartLocal: %v", sg.Name, nodes, err)
+			}
+			err = l.Router.LoadGraph(g)
+			labels, lerr := l.Router.GlobalLabels()
+			st := l.Router.Stats()
+			l.Close()
+			if err != nil || lerr != nil {
+				t.Fatalf("%s/%d shards: load %v, labels %v", sg.Name, nodes, err, lerr)
+			}
+			if err := validate.Labeling(g, labels); err != nil {
+				t.Fatalf("%s/%d shards: %v", sg.Name, nodes, err)
+			}
+			if st.Shards != nodes && g.NumVertices() >= nodes {
+				t.Fatalf("%s: stats report %d shards, want %d", sg.Name, st.Shards, nodes)
 			}
 			if st.Rounds < 1 {
-				t.Fatalf("%s: %d rounds", sg.Name, st.Rounds)
+				t.Fatalf("%s/%d shards: %d rounds", sg.Name, nodes, st.Rounds)
 			}
 		}
-	}
-}
-
-func TestDistributedSingleNodeNoMessages(t *testing.T) {
-	g := gen.URandDegree(2000, 8, 5)
-	labels, st := ConnectedComponents(g, 1)
-	assertMatchesOracle(t, g, labels)
-	if st.CutEdges != 0 || st.Messages != 0 {
-		t.Fatalf("single node must not communicate: %+v", st)
-	}
-}
-
-func TestDistributedManyComponents(t *testing.T) {
-	g := gen.URandComponents(4000, 8, 0.1, 9)
-	labels, st := ConnectedComponents(g, 8)
-	assertMatchesOracle(t, g, labels)
-	if st.Messages == 0 {
-		t.Fatal("8 nodes on a connected-block graph must exchange messages")
-	}
-}
-
-func TestDistributedHighDiameter(t *testing.T) {
-	// A long path crossing every partition repeatedly: worst case for
-	// boundary reconciliation rounds.
-	var edges []graph.Edge
-	const n = 1000
-	for v := 0; v+1 < n; v++ {
-		edges = append(edges, graph.Edge{U: graph.V(v), V: graph.V(v + 1)})
-	}
-	g := graph.Build(edges, graph.BuildOptions{NumVertices: n})
-	labels, st := ConnectedComponents(g, 8)
-	assertMatchesOracle(t, g, labels)
-	// Label minima flow across the partition quotient graph (a path of
-	// 8 nodes) — rounds must stay near that, far below the graph
-	// diameter of 999.
-	if st.Rounds > 16 {
-		t.Fatalf("rounds = %d, expected O(nodes), not O(diameter)", st.Rounds)
-	}
-}
-
-func TestDistributedCutEdgesScaleWithNodes(t *testing.T) {
-	g := gen.URandDegree(4000, 16, 3)
-	_, st2 := ConnectedComponents(g, 2)
-	_, st8 := ConnectedComponents(g, 8)
-	if st8.CutEdges <= st2.CutEdges {
-		t.Fatalf("cut edges must grow with partition count: %d (2 nodes) vs %d (8 nodes)",
-			st2.CutEdges, st8.CutEdges)
-	}
-}
-
-func TestDistributedMessagesFarBelowEdges(t *testing.T) {
-	// The headline of the distributed extension: communication is
-	// proportional to boundary vertices × rounds, not |E|.
-	g := gen.URandDegree(20_000, 16, 7)
-	_, st := ConnectedComponents(g, 4)
-	if st.Messages >= g.NumArcs() {
-		t.Fatalf("messages (%d) should be far below arcs (%d)", st.Messages, g.NumArcs())
-	}
-}
-
-func TestStatsString(t *testing.T) {
-	s := Stats{Nodes: 4, Rounds: 3, CutEdges: 10, Messages: 20, BytesSent: 160}
-	if s.String() == "" {
-		t.Fatal("empty Stats string")
-	}
-}
-
-func TestDistLPMatchesOracleOnSuite(t *testing.T) {
-	for _, sg := range gen.Suite() {
-		g := sg.Build(9, 44)
-		for _, nodes := range []int{1, 3, 8} {
-			labels, st := LP(g, nodes)
-			assertMatchesOracle(t, g, labels)
-			if st.Rounds < 1 {
-				t.Fatalf("%s: %d rounds", sg.Name, st.Rounds)
-			}
-		}
-	}
-}
-
-func TestDistLPEdgeless(t *testing.T) {
-	g := graph.Build(nil, graph.BuildOptions{NumVertices: 64})
-	labels, st := LP(g, 4)
-	for v, l := range labels {
-		if l != graph.V(v) {
-			t.Fatalf("edgeless vertex %d labeled %d", v, l)
-		}
-	}
-	if st.Messages != 0 {
-		t.Fatalf("edgeless graph sent %d messages", st.Messages)
-	}
-}
-
-func TestAfforestBeatsLPOnMessageVolume(t *testing.T) {
-	// The extension's thesis: local forests + boundary union-find
-	// converge with less traffic than per-round halo propagation on
-	// high-diameter graphs.
-	g := gen.Road(10_000, 5)
-	_, stAff := ConnectedComponents(g, 8)
-	_, stLP := LP(g, 8)
-	if stAff.Messages > stLP.Messages {
-		t.Fatalf("afforest-style messages (%d) exceed LP halo messages (%d)",
-			stAff.Messages, stLP.Messages)
-	}
-}
-
-func TestAsyncMatchesOracleOnSuite(t *testing.T) {
-	for _, sg := range gen.Suite() {
-		g := sg.Build(9, 55)
-		for _, nodes := range []int{1, 2, 4, 8} {
-			labels, st := AsyncConnectedComponents(g, nodes)
-			assertMatchesOracle(t, g, labels)
-			if nodes > 1 && st.CutEdges > 0 && st.Messages == 0 {
-				t.Fatalf("%s/%d: cut edges but no messages", sg.Name, nodes)
-			}
-		}
-	}
-}
-
-func TestAsyncRepeatedStress(t *testing.T) {
-	// Quiescence detection must be schedule-independent: repeat many
-	// times to shake out races in the outstanding-counter protocol.
-	g := gen.URandComponents(3000, 8, 0.2, 13)
-	for trial := 0; trial < 15; trial++ {
-		labels, _ := AsyncConnectedComponents(g, 6)
-		assertMatchesOracle(t, g, labels)
-	}
-}
-
-func TestAsyncAgreesWithBSP(t *testing.T) {
-	g := gen.WebLike(4000, 12, 21)
-	asyncLabels, _ := AsyncConnectedComponents(g, 5)
-	bspLabels, _ := ConnectedComponents(g, 5)
-	for v := range asyncLabels {
-		if asyncLabels[v] != bspLabels[v] {
-			t.Fatalf("async and BSP labels diverge at %d (both canonical minima)", v)
-		}
-	}
-}
-
-func TestAsyncSingleNode(t *testing.T) {
-	g := gen.URandDegree(1000, 8, 2)
-	labels, st := AsyncConnectedComponents(g, 1)
-	assertMatchesOracle(t, g, labels)
-	if st.Messages != 0 {
-		t.Fatalf("single node sent %d messages", st.Messages)
 	}
 }

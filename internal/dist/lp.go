@@ -1,10 +1,12 @@
 package dist
 
-import (
-	"sync"
+import "afforest/internal/graph"
 
-	"afforest/internal/graph"
-)
+// Stats quantifies one distributed LP execution.
+type Stats struct {
+	Rounds   int   // relaxation supersteps
+	Messages int64 // halo label updates delivered
+}
 
 // LP is the distributed Min-Label Propagation comparator: the classic
 // size-1-halo BSP scheme the paper credits for LP's distributed-memory
@@ -13,14 +15,14 @@ import (
 // sweep over the owned vertices (Pregel-style), then exchanges updated
 // boundary labels. The winning minimum label therefore crawls one hop
 // per superstep — rounds scale with the graph *diameter*, and each
-// round pays a full boundary exchange. The Afforest-style scheme in
-// ConnectedComponents instead collapses distances inside each node with
+// round pays a full boundary exchange. The Afforest-style exchange in
+// internal/cluster instead collapses distances inside each shard with
 // local union-find, so its rounds scale with the partition quotient
 // diameter; ExtDist quantifies the traffic gap on high-diameter graphs.
 func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 	n := g.NumVertices()
 	part := NewPartitioning(n, numNodes)
-	st := Stats{Nodes: part.NumNodes}
+	var st Stats
 
 	labels := make([]graph.V, n)
 	for v := range labels {
@@ -31,22 +33,17 @@ func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 		lo, hi   int
 		halo     map[graph.V]graph.V // remote vertex -> last known label
 		boundary []graph.V           // owned vertices with remote neighbors
-		dirty    bool
 	}
 	nodes := make([]*lpNode, part.NumNodes)
-	runOnNodes(part.NumNodes, func(id int) {
+	for id := range nodes {
 		lo, hi := part.Range(id)
 		nd := &lpNode{lo: lo, hi: hi, halo: make(map[graph.V]graph.V)}
-		seen := make(map[graph.V]bool)
 		for u := lo; u < hi; u++ {
 			remote := false
 			for _, v := range g.Neighbors(graph.V(u)) {
 				if int(v) < lo || int(v) >= hi {
 					remote = true
-					if !seen[v] {
-						seen[v] = true
-						nd.halo[v] = v
-					}
+					nd.halo[v] = v
 				}
 			}
 			if remote {
@@ -54,13 +51,6 @@ func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 			}
 		}
 		nodes[id] = nd
-	})
-	for u := 0; u < n; u++ {
-		for _, v := range g.Neighbors(graph.V(u)) {
-			if part.Owner(graph.V(u)) < part.Owner(v) {
-				st.CutEdges++
-			}
-		}
 	}
 
 	labelOf := func(nd *lpNode, v graph.V) graph.V {
@@ -70,36 +60,26 @@ func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 		return nd.halo[v]
 	}
 
+	next := make([]graph.V, n)
 	for {
 		anyChange := false
-		var mu sync.Mutex
 
 		// One synchronous relaxation sweep per node (Jacobi-style: all
-		// reads see the labels from the start of the superstep).
-		runOnNodes(part.NumNodes, func(id int) {
-			nd := nodes[id]
-			updates := make(map[graph.V]graph.V)
+		// reads see the labels from the start of the superstep, and the
+		// results land in next). A node reads only its own labels and
+		// its halo, so running the nodes one after another is the same
+		// superstep as running them concurrently.
+		for _, nd := range nodes {
 			for u := nd.lo; u < nd.hi; u++ {
 				m := labels[u]
 				for _, v := range g.Neighbors(graph.V(u)) {
-					if l := labelOf(nd, v); l < m {
-						m = l
-					}
+					m = min(m, labelOf(nd, v))
 				}
-				if m < labels[u] {
-					updates[graph.V(u)] = m
-				}
+				next[u] = m
+				anyChange = anyChange || m < labels[u]
 			}
-			for u, m := range updates {
-				labels[u] = m
-			}
-			nd.dirty = len(updates) > 0
-			if nd.dirty {
-				mu.Lock()
-				anyChange = true
-				mu.Unlock()
-			}
-		})
+		}
+		labels, next = next, labels
 		st.Rounds++
 
 		if !anyChange && st.Rounds > 1 {
@@ -109,23 +89,18 @@ func LP(g *graph.CSR, numNodes int) ([]graph.V, Stats) {
 		// Delta halo exchange: each node publishes a boundary label to a
 		// neighbor node only when it changed since the last publish —
 		// the standard optimization; counting full halos every round
-		// would overstate LP's traffic.
+		// would overstate LP's traffic. A second remote neighbor on the
+		// same node finds the label already delivered.
 		for _, nd := range nodes {
 			for _, u := range nd.boundary {
 				lbl := labels[u]
-				delivered := map[int]bool{}
 				for _, v := range g.Neighbors(u) {
-					o := part.Owner(v)
 					if int(v) >= nd.lo && int(v) < nd.hi {
 						continue
 					}
-					if !delivered[o] {
-						delivered[o] = true
-						if nodes[o].halo[u] != lbl {
-							nodes[o].halo[u] = lbl
-							st.Messages++
-							st.BytesSent += 8
-						}
+					if halo := nodes[part.Owner(v)].halo; halo[u] != lbl {
+						halo[u] = lbl
+						st.Messages++
 					}
 				}
 			}

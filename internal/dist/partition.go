@@ -1,3 +1,10 @@
+// Package dist holds the distributed-memory pieces that are not the
+// exchange itself (the paper's Section VII future work). Partitioning
+// is the 1D vertex partition the sharded deployment in internal/cluster
+// is built on; LP is the classic halo-exchange Label Propagation
+// comparator the ext-dist experiment measures that deployment against.
+// The Afforest-style ghost-label exchange has exactly one
+// implementation: the router/shard protocol in internal/cluster.
 package dist
 
 import "afforest/internal/graph"
@@ -5,11 +12,10 @@ import "afforest/internal/graph"
 // Partitioning is the cluster's 1D vertex partition: n vertices split
 // across NumNodes contiguous, equal-width blocks (the last block takes
 // the remainder). It is the shared coordinate system of every
-// distributed component in this repository — the in-process BSP and
-// async simulations here, and the real router/shard deployment in
-// internal/cluster — so both sides of a wire protocol can reconstruct
-// the identical partition from just (n, numNodes) and never ship vertex
-// ownership tables.
+// distributed component in this repository — the router and shards of
+// internal/cluster and the LP comparator — so both sides of a wire
+// protocol can reconstruct the identical partition from just
+// (n, numNodes) and never ship vertex ownership tables.
 //
 // Guarantees (property-tested in partition_test.go):
 //

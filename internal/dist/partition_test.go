@@ -85,3 +85,37 @@ func TestPartitioningFewerVerticesThanNodes(t *testing.T) {
 		}
 	}
 }
+
+func TestPartitioningOwnerAndRange(t *testing.T) {
+	p := NewPartitioning(100, 4)
+	seen := 0
+	for id := 0; id < p.NumNodes; id++ {
+		lo, hi := p.Range(id)
+		for v := lo; v < hi; v++ {
+			if p.Owner(graph.V(v)) != id {
+				t.Fatalf("vertex %d: owner %d, range says %d", v, p.Owner(graph.V(v)), id)
+			}
+			seen++
+		}
+	}
+	if seen != 100 {
+		t.Fatalf("ranges cover %d vertices, want 100", seen)
+	}
+}
+
+// TestPartitioningEdgeCases pins the degenerate node counts: more nodes
+// than vertices clamps to one vertex per node, and numNodes ≤ 0 gives
+// exactly one node owning everything.
+func TestPartitioningEdgeCases(t *testing.T) {
+	p := NewPartitioning(3, 10) // more nodes than vertices
+	if p.NumNodes != 3 {
+		t.Fatalf("nodes clamped to %d, want 3", p.NumNodes)
+	}
+	for _, numNodes := range []int{0, -3} {
+		p := NewPartitioning(10, numNodes)
+		if lo, hi := p.Range(0); p.NumNodes != 1 || lo != 0 || hi != 10 {
+			t.Fatalf("nodes=%d: NumNodes=%d Range(0)=[%d,%d), want 1 node owning [0,10)",
+				numNodes, p.NumNodes, lo, hi)
+		}
+	}
+}

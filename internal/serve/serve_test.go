@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -383,6 +384,14 @@ func TestServeErrorPaths(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("body %q: status %d, want 400", body, resp.StatusCode)
 		}
+	}
+	// A body one pair past the cap is refused whole. The recorder keeps
+	// the client from racing the early 413 with the rest of its upload.
+	rec := httptest.NewRecorder()
+	oversize := `{"edges":[` + strings.Repeat("[0,1],", maxEdgesBody/6) + `[0,1]]}`
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/edges", strings.NewReader(oversize)))
+	if rec.Code != http.StatusRequestEntityTooLarge || srv.EdgesAccepted() != 0 {
+		t.Fatalf("oversize body: status %d, %d edges applied; want 413, none", rec.Code, srv.EdgesAccepted())
 	}
 
 	var health map[string]any

@@ -23,6 +23,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -667,14 +668,24 @@ type edgesRequest struct {
 	Edges [][2]uint32 `json:"edges"`
 }
 
+// maxEdgesBody caps a POST /edges body: room for about a million JSON
+// pairs, while bounding what one request can make the decoder buffer.
+// Larger loads belong in a bootstrap graph file.
+const maxEdgesBody = 16 << 20
+
 func (s *Server) handleEdges(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.counts.edges.Inc()
 	var req edgesRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxEdgesBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		s.httpError(w, http.StatusBadRequest, "bad body: "+err.Error())
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		s.httpError(w, code, "bad body: "+err.Error())
 		return
 	}
 	var edges []graph.Edge
